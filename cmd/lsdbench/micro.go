@@ -31,9 +31,9 @@ var microIters = map[string]int{
 
 // measureMicro times n iterations of fn and records ns/op, allocs/op,
 // and bytes/op from the runtime's monotonic allocation counters. One
-// untimed warm-up call lets lazy structures (prediction caches, interim
-// labelers) reach steady state, matching how the testing package's
-// auto-scaling amortizes them.
+// untimed warm-up call lets lazy structures (scratch pools, the core
+// memos, the interim labeler's memo) reach steady state, matching how
+// the testing package's auto-scaling amortizes them.
 func measureMicro(name string, n int, fn func()) benchRecord {
 	fn()
 	runtime.GC()

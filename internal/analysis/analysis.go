@@ -48,8 +48,8 @@
 //   - errflow: errors from io/json/artifact/parallel calls in request-
 //     or codec-reachable code are checked, returned, or explicitly
 //     suppressed, never silently discarded.
-//   - sharedread: values returned by `// lint:shared` functions (the
-//     WHIRL cache-hit path, Learner.Predict) are read-only — no caller
+//   - sharedread: values returned by `// lint:shared` functions
+//     (Learner.Predict, BatchPredictor.PredictBatch) are read-only — no caller
 //     may mutate them, directly or through a callee that writes its
 //     parameter.
 //   - poolescape: values from sync.Pool.Get or `// lint:scratch`

@@ -9,10 +9,11 @@ import (
 // SharedRead enforces the read-only contract on shared return values:
 // a function (or interface method) whose doc comment carries
 // `// lint:shared` hands out a value that other callers hold
-// concurrently — WHIRL's two-generation prediction cache returns the
-// cached learn.Prediction itself, not a clone — so no caller may ever
-// mutate it. One write corrupts every later request for the same key,
-// bit-identically wrong.
+// concurrently — a batch hands one learn.Prediction to every duplicate
+// of an instance, and the core combined memo returns the memoized
+// prediction itself, not a clone — so no caller may ever mutate it.
+// One write corrupts every later reader of that value, bit-identically
+// wrong.
 //
 // The shared set is closed three ways before checking begins:
 // methods implementing a `// lint:shared` interface method are shared

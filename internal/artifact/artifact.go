@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -38,18 +39,25 @@ const (
 	secConfig   = "config"   // matching-phase Config scalars
 	secMediated = "mediated" // DTD, synonyms, hierarchy, constraints, labels
 	secEnsemble = "ensemble" // final learners + stacker
-	secInterim  = "interim"  // interim ensemble behind the XML learner
+	secInterim  = "interim"  // interim stacker behind the XML learner
 )
 
 // sectionEncodings maps each known section to the newest payload
-// encoding this reader understands. A section tagged higher is refused
-// (version skew); unknown section names are skipped instead.
+// encoding this reader understands, which is also the encoding the
+// writer emits. A section tagged higher is refused (version skew);
+// unknown section names are skipped instead.
+//
+// The interim section's encoding 2 carries only the interim stacker,
+// whose learners are the leading learners of the ensemble section.
+// Encoding 1 also carried a second copy of those learners; a reader
+// still accepts it when every copy is byte-identical to the ensemble
+// learner it duplicates, and refuses it otherwise.
 var sectionEncodings = map[string]uint16{
 	secModel:    1,
 	secConfig:   1,
 	secMediated: 1,
 	secEnsemble: 1,
-	secInterim:  1,
+	secInterim:  2,
 }
 
 // Learner kind tags inside ensemble sections.
@@ -117,15 +125,10 @@ func Encode(name string, st *core.SystemState) ([]byte, error) {
 	}
 	section(w, secEnsemble, ens)
 
-	if len(st.InterimLearners) > 0 {
-		if st.InterimStacker == nil {
-			return nil, fmt.Errorf("artifact: interim learners without an interim stacker")
-		}
-		in, err := encodeEnsemble(st.InterimNames, st.InterimLearners, st.InterimStacker)
-		if err != nil {
-			return nil, err
-		}
-		section(w, secInterim, in)
+	if st.InterimStacker != nil {
+		in := &writer{}
+		encodeStacker(in, st.InterimStacker.State())
+		section(w, secInterim, in.buf)
 	}
 
 	w.u8('E')
@@ -191,6 +194,7 @@ func Decode(data []byte) (*Decoded, error) {
 		State:         &core.SystemState{},
 	}
 	seen := map[string]bool{}
+	var recs learnerRecords
 	for {
 		marker := r.u8()
 		if r.failed() {
@@ -224,7 +228,7 @@ func Decode(data []byte) (*Decoded, error) {
 			return nil, fmt.Errorf("artifact: duplicate section %q", name)
 		}
 		seen[name] = true
-		if err := decodeSection(name, sr, d); err != nil {
+		if err := decodeSection(name, enc, sr, d, &recs); err != nil {
 			return nil, err
 		}
 	}
@@ -236,10 +240,45 @@ func Decode(data []byte) (*Decoded, error) {
 			return nil, fmt.Errorf("artifact: missing required section %q", name)
 		}
 	}
+	if recs.interimV1 != nil {
+		if err := recs.checkInterimV1(d.State.InterimStacker); err != nil {
+			return nil, err
+		}
+	}
 	return d, nil
 }
 
-func decodeSection(name string, r *reader, d *Decoded) error {
+// learnerRecord is one learner of an ensemble-shaped section as it
+// sits on the wire: its name, kind tag and undecoded payload.
+type learnerRecord struct {
+	name, kind string
+	payload    []byte
+}
+
+// learnerRecords keeps the wire records of the ensemble section, and
+// of an encoding-1 interim section, until Decode has seen both.
+type learnerRecords struct {
+	ensemble, interimV1 []learnerRecord
+}
+
+// checkInterimV1 accepts an encoding-1 interim section only when its
+// learner copies are the ensemble's leading learners byte for byte:
+// the decoded system consults the ensemble's learners in their place.
+func (recs *learnerRecords) checkInterimV1(stacker *meta.Stacker) error {
+	in, ens := recs.interimV1, recs.ensemble
+	if len(in) != len(stacker.LearnerNames()) || len(in) > len(ens) {
+		return fmt.Errorf("artifact: %d interim learners for an interim stacker of %d and an ensemble of %d",
+			len(in), len(stacker.LearnerNames()), len(ens))
+	}
+	for i, rec := range in {
+		if rec.name != ens[i].name || rec.kind != ens[i].kind || !bytes.Equal(rec.payload, ens[i].payload) {
+			return fmt.Errorf("artifact: interim learner %q differs from the ensemble's", rec.name)
+		}
+	}
+	return nil
+}
+
+func decodeSection(name string, enc uint16, r *reader, d *Decoded, recs *learnerRecords) error {
 	switch name {
 	case secModel:
 		d.Name = r.str()
@@ -248,17 +287,38 @@ func decodeSection(name string, r *reader, d *Decoded) error {
 	case secMediated:
 		decodeMediated(r, d.State)
 	case secEnsemble:
-		names, learners, stacker, err := decodeEnsemble(r)
+		ens, err := readLearnerRecords(r)
 		if err != nil {
 			return err
 		}
-		d.State.Names, d.State.Learners, d.State.Stacker = names, learners, stacker
+		recs.ensemble = ens
+		for _, rec := range ens {
+			lr := newReader(rec.payload)
+			l, err := decodeLearner(rec.kind, lr)
+			if err != nil {
+				return fmt.Errorf("artifact: learner %q: %w", rec.name, err)
+			}
+			if lr.remaining() != 0 {
+				return fmt.Errorf("artifact: learner %q has %d trailing bytes", rec.name, lr.remaining())
+			}
+			d.State.Names = append(d.State.Names, rec.name)
+			d.State.Learners = append(d.State.Learners, l)
+		}
+		if d.State.Stacker, err = decodeStacker(r); err != nil {
+			return err
+		}
 	case secInterim:
-		names, learners, stacker, err := decodeEnsemble(r)
-		if err != nil {
+		if enc == 1 {
+			in, err := readLearnerRecords(r)
+			if err != nil {
+				return err
+			}
+			recs.interimV1 = in
+		}
+		var err error
+		if d.State.InterimStacker, err = decodeStacker(r); err != nil {
 			return err
 		}
-		d.State.InterimNames, d.State.InterimLearners, d.State.InterimStacker = names, learners, stacker
 	}
 	if r.failed() {
 		return r.err
@@ -447,40 +507,30 @@ func encodeEnsemble(names []string, learners []learn.Learner, stacker *meta.Stac
 	return w.buf, nil
 }
 
-func decodeEnsemble(r *reader) ([]string, []learn.Learner, *meta.Stacker, error) {
+// readLearnerRecords reads the names and learner records that open an
+// ensemble-shaped section, leaving each payload undecoded.
+func readLearnerRecords(r *reader) ([]learnerRecord, error) {
 	names := r.strs()
 	n := r.count(2)
 	if r.failed() {
-		return nil, nil, nil, r.err
+		return nil, r.err
 	}
 	if n != len(names) {
-		return nil, nil, nil, fmt.Errorf("artifact: %d names for %d learners", len(names), n)
+		return nil, fmt.Errorf("artifact: %d names for %d learners", len(names), n)
 	}
-	learners := make([]learn.Learner, 0, n)
-	for i := 0; i < n; i++ {
+	recs := make([]learnerRecord, n)
+	for i := range recs {
 		kind := r.str()
 		plen := r.uvarint()
 		if r.failed() {
-			return nil, nil, nil, r.err
+			return nil, r.err
 		}
 		if plen > uint64(r.remaining()) {
-			return nil, nil, nil, fmt.Errorf("artifact: learner %q claims %d bytes, %d remain", names[i], plen, r.remaining())
+			return nil, fmt.Errorf("artifact: learner %q claims %d bytes, %d remain", names[i], plen, r.remaining())
 		}
-		lr := r.sub(int(plen))
-		l, err := decodeLearner(kind, lr)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("artifact: learner %q: %w", names[i], err)
-		}
-		if lr.remaining() != 0 {
-			return nil, nil, nil, fmt.Errorf("artifact: learner %q has %d trailing bytes", names[i], lr.remaining())
-		}
-		learners = append(learners, l)
+		recs[i] = learnerRecord{name: names[i], kind: kind, payload: r.sub(int(plen)).data}
 	}
-	stacker, err := decodeStacker(r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return names, learners, stacker, nil
+	return recs, nil
 }
 
 func encodeStacker(w *writer, st *meta.StackerState) {

@@ -222,10 +222,8 @@ func fixtureState(t testing.TB) *core.SystemState {
 			train(naivebayes.New()),
 			train(xmllearner.New(nil, nil)),
 		},
-		Stacker:         stacker,
-		InterimNames:    []string{"NameMatcher", "NaiveBayes"},
-		InterimLearners: []learn.Learner{train(namematcher.New()), train(naivebayes.New())},
-		InterimStacker:  interimStacker,
+		Stacker:        stacker,
+		InterimStacker: interimStacker,
 	}
 }
 
@@ -284,9 +282,6 @@ func TestDecodedSystem(t *testing.T) {
 	}
 	for i, l := range d.State.Learners {
 		checkSamePredictions(t, st.Learners[i], l)
-	}
-	for i, l := range d.State.InterimLearners {
-		checkSamePredictions(t, st.InterimLearners[i], l)
 	}
 }
 
@@ -468,7 +463,7 @@ func TestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	path := filepath.Join("testdata", "fixture_v1.bin")
+	path := filepath.Join("testdata", "fixture_interim2.bin")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -491,11 +486,120 @@ func TestGolden(t *testing.T) {
 	if d.Name != "golden" {
 		t.Errorf("golden name %q, want %q", d.Name, "golden")
 	}
-	if len(d.State.Learners) != 3 || len(d.State.InterimLearners) != 2 {
-		t.Errorf("golden learners %d/%d, want 3/2", len(d.State.Learners), len(d.State.InterimLearners))
+	if len(d.State.Learners) != 3 || len(d.State.InterimStacker.LearnerNames()) != 2 {
+		t.Errorf("golden learners %d/%d, want 3/2", len(d.State.Learners), len(d.State.InterimStacker.LearnerNames()))
 	}
 	if _, err := d.System(1); err != nil {
 		t.Errorf("golden System: %v", err)
+	}
+}
+
+// TestGoldenV1 decodes the committed artifact written by the
+// encoding-1 writer, whose interim section carried its own copy of the
+// base learners. The file is never regenerated. It must still decode,
+// to the same state this writer encodes as the current golden, and
+// restore a system whose learners predict the same.
+func TestGoldenV1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "fixture_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode(fixture_v1.bin): %v", err)
+	}
+	if _, err := d.System(1); err != nil {
+		t.Fatalf("System: %v", err)
+	}
+	again, err := Encode(d.Name, d.State)
+	if err != nil {
+		t.Fatalf("re-Encode: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "fixture_interim2.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("fixture_v1.bin re-encodes to %d bytes that differ from the current golden (%d bytes)", len(again), len(want))
+	}
+	st := fixtureState(t)
+	for i, l := range d.State.Learners {
+		checkSamePredictions(t, st.Learners[i], l)
+	}
+}
+
+// encodeV1 writes st the way the encoding-1 writer did: the interim
+// section repeats the given learners ahead of the interim stacker.
+func encodeV1(t *testing.T, st *core.SystemState, interim []learn.Learner) []byte {
+	t.Helper()
+	data, err := Encode("v1", st)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	// Re-emit every section, swapping in an encoding-1 interim payload.
+	r := newReader(data[:len(data)-checksumSize])
+	r.off = len(magic) + 2
+	w := &writer{}
+	w.bytes(data[:len(magic)+2])
+	for r.u8() == 'S' {
+		name := r.str()
+		enc := r.u16()
+		payload := r.sub(int(r.uvarint())).data
+		if name == secInterim {
+			names := make([]string, len(interim))
+			for i, l := range interim {
+				names[i] = l.Name()
+			}
+			in, err := encodeEnsemble(names, interim, st.InterimStacker)
+			if err != nil {
+				t.Fatalf("encodeEnsemble: %v", err)
+			}
+			enc, payload = 1, in
+		}
+		w.u8('S')
+		w.str(name)
+		w.u16(enc)
+		w.uvarint(uint64(len(payload)))
+		w.bytes(payload)
+	}
+	if r.failed() {
+		t.Fatal(r.err)
+	}
+	w.u8('E')
+	return reseal(w.buf)
+}
+
+// TestDecodeV1InterimMismatch hand-builds encoding-1 artifacts whose
+// interim learner copies differ from the ensemble's: Decode must
+// refuse them, because the reader substitutes the ensemble's learners
+// for the copies. Identical copies decode.
+func TestDecodeV1InterimMismatch(t *testing.T) {
+	st := fixtureState(t)
+	train := func(l learn.Learner, examples []learn.Example) learn.Learner {
+		if err := l.Train(fixtureLabels, examples); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	same := []learn.Learner{st.Learners[0], st.Learners[1]}
+	if _, err := Decode(encodeV1(t, st, same)); err != nil {
+		t.Fatalf("Decode of identical encoding-1 copies: %v", err)
+	}
+	cases := map[string][]learn.Learner{
+		"retrained copy":  {st.Learners[0], train(naivebayes.New(), fixtureExamples()[:4])},
+		"other learner":   {st.Learners[1], st.Learners[0]},
+		"missing learner": {st.Learners[0]},
+	}
+	for name, interim := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := Decode(encodeV1(t, st, interim))
+			if err == nil {
+				t.Fatal("Decode succeeded, want error")
+			}
+			if !strings.Contains(err.Error(), "interim") {
+				t.Fatalf("error %q does not mention the interim section", err)
+			}
+		})
 	}
 }
 

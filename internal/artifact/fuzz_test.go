@@ -1,6 +1,8 @@
 package artifact
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -34,6 +36,14 @@ func FuzzArtifactDecode(f *testing.F) {
 	// Corrupt-but-sealed inputs reach past the checksum gate.
 	flipped := flipBit(valid, len(valid)/3)
 	f.Add(reseal(flipped[:len(flipped)-checksumSize]))
+	// The committed goldens: both interim-section encodings.
+	for _, name := range []string{"fixture_v1.bin", "fixture_interim2.bin"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Decode(data)

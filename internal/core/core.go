@@ -156,14 +156,13 @@ type System struct {
 	names    []string
 	learners []learn.Learner // trained, aligned with names
 	stacker  *meta.Stacker
-	// The interim ensemble is the non-XML learners stacked on their
-	// own: the XML learner's matching-phase labeler consults it for
-	// sub-element labels (Table 2). It is retained on the system so
-	// model serialization can capture the complete matcher; nil when
-	// the XML learner is disabled or has no base learners to consult.
-	interimNames    []string
-	interimLearners []learn.Learner
-	interimStacker  *meta.Stacker
+	// interimStacker stacks the non-XML learners on their own: the XML
+	// learner's matching-phase labeler combines learners[:k] with it
+	// for sub-element labels (Table 2), where k is its learner count.
+	// It is retained on the system so model serialization can capture
+	// the complete matcher; nil when the XML learner is disabled or has
+	// no base learners to consult.
+	interimStacker *meta.Stacker
 	// combined memoizes post-stacker predictions by instance key, so a
 	// leaf value the system has scored before — in an earlier request,
 	// another listing, or another tag — skips every learner and the
@@ -175,6 +174,12 @@ type System struct {
 
 // Train runs the training phase of §3.1 on the given training sources
 // and returns a system ready to match new sources.
+//
+// Every learner trains once on the full example set and is
+// cross-validated once. The base learners' CV columns feed two
+// stackers: the interim one over the base learners alone, which the
+// XML learner's matching labeler consults (Table 2), and the final one
+// over every learner, XML learner included.
 func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	if med == nil || med.Schema == nil {
 		return nil, fmt.Errorf("core: nil mediated schema")
@@ -183,12 +188,10 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: no learners configured")
 	}
 	labels := med.Labels()
-	// Per-stage RNG seeds are derived, not shared: the interim and the
-	// final meta-learner each get an independent stream, and meta.Train
-	// derives one per learner from there, so every cross-validation
+	// The stacking RNG seed is derived, not shared: meta.CrossValidate
+	// derives one stream per learner from it, so every cross-validation
 	// task owns its rand state and the fan-out stays deterministic.
-	interimSeed := learn.DeriveSeed(cfg.Seed, 0)
-	finalSeed := learn.DeriveSeed(cfg.Seed, 1)
+	seed := learn.DeriveSeed(cfg.Seed, 1)
 	mcfg := cfg.Meta
 	mcfg.Workers = cfg.Workers
 
@@ -197,66 +200,57 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	examples := ExtractExamples(med, sources, cfg.MaxListings)
 
 	sys := &System{cfg: cfg, mediated: med, labels: labels, combined: new(memo[learn.Prediction])}
-
-	// Step 4: train the base learners.
-	factories := make([]learn.Factory, 0, len(cfg.BaseLearners)+1)
+	factories := make([]learn.Factory, 0, len(cfg.BaseLearners))
 	for _, spec := range cfg.BaseLearners {
 		sys.names = append(sys.names, spec.Name)
 		factories = append(factories, spec.Factory)
 	}
 
+	// Step 4: train the base learners and cross-validate them for
+	// stacking (step 5a).
+	var cv [][]learn.Prediction
+	if len(factories) > 0 {
+		var err error
+		if cv, err = meta.CrossValidate(labels, sys.names, factories, examples, mcfg, seed, 0); err != nil {
+			return nil, fmt.Errorf("core: meta-learner: %w", err)
+		}
+		if sys.learners, err = trainLearners(sys.names, factories, labels, examples, cfg.Workers); err != nil {
+			return nil, err
+		}
+	}
+
 	if cfg.UseXMLLearner {
 		// The XML learner labels sub-elements with the true mappings at
 		// training time and with the rest of LSD at matching time
-		// (Table 2). Build the interim ensemble first: the non-XML
-		// learners stacked on their own.
-		trainLab := trainLabeler(sources)
-		var interim *ensembleLabeler
-		if len(cfg.BaseLearners) > 0 {
-			interimStack, err := meta.Train(labels, sys.names, factories, examples, mcfg, interimSeed)
+		// (Table 2): the trained base learners combined by the interim
+		// stacker, fitted on the base learners' CV columns.
+		var match xmllearner.NodeLabeler
+		if len(factories) > 0 {
+			interim, err := meta.Fit(labels, sys.names, examples, cv, mcfg)
 			if err != nil {
 				return nil, fmt.Errorf("core: interim meta-learner: %w", err)
 			}
-			interimLearners, err := trainAll(cfg.BaseLearners, labels, examples, cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			interim = &ensembleLabeler{
-				mediated: med, learners: interimLearners, stacker: interimStack,
-			}
-			sys.interimNames = append([]string(nil), sys.names...)
-			sys.interimLearners = interimLearners
-			sys.interimStacker = interimStack
+			sys.interimStacker = interim
+			match = &ensembleLabeler{mediated: med, learners: sys.learners, stacker: interim}
 		}
-		xmlFactory := func() learn.Learner {
-			l := xmllearner.New(trainLab, nil)
-			if interim != nil {
-				l.SetMatchLabeler(interim)
-			}
-			return l
+		trainLab := trainLabeler(sources)
+		xmlFactory := func() learn.Learner { return xmllearner.New(trainLab, match) }
+		xmlCV, err := meta.CrossValidate(labels, []string{"XMLLearner"}, []learn.Factory{xmlFactory},
+			examples, mcfg, seed, len(factories))
+		if err != nil {
+			return nil, fmt.Errorf("core: meta-learner: %w", err)
+		}
+		xml := xmlFactory()
+		if err := xml.Train(labels, examples); err != nil {
+			return nil, fmt.Errorf("core: training XMLLearner: %w", err)
 		}
 		sys.names = append(sys.names, "XMLLearner")
-		factories = append(factories, xmlFactory)
+		sys.learners = append(sys.learners, xml)
+		cv = append(cv, xmlCV...)
 	}
 
-	// Train the final copies of every learner on the full training set.
-	// Learners are independent instances, so they train concurrently.
-	trained := make([]learn.Learner, len(factories))
-	err := parallel.ForEach(context.Background(), cfg.Workers, len(factories), func(_ context.Context, i int) error {
-		l := factories[i]()
-		if err := l.Train(labels, examples); err != nil {
-			return fmt.Errorf("core: training %s: %w", sys.names[i], err)
-		}
-		trained[i] = l
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sys.learners = trained
-
-	// Step 5: train the meta-learner by stacking over all learners.
-	stacker, err := meta.Train(labels, sys.names, factories, examples, mcfg, finalSeed)
+	// Step 5: fit the meta-learner by stacking over all learners.
+	stacker, err := meta.Fit(labels, sys.names, examples, cv, mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: meta-learner: %w", err)
 	}
@@ -264,12 +258,15 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-func trainAll(specs []LearnerSpec, labels []string, examples []learn.Example, workers int) ([]learn.Learner, error) {
-	out := make([]learn.Learner, len(specs))
-	err := parallel.ForEach(context.Background(), workers, len(specs), func(_ context.Context, i int) error {
-		l := specs[i].Factory()
+// trainLearners trains one fresh learner per factory on the full
+// training set. Learners are independent instances, so they train
+// concurrently.
+func trainLearners(names []string, factories []learn.Factory, labels []string, examples []learn.Example, workers int) ([]learn.Learner, error) {
+	out := make([]learn.Learner, len(factories))
+	err := parallel.ForEach(context.Background(), workers, len(factories), func(_ context.Context, i int) error {
+		l := factories[i]()
 		if err := l.Train(labels, examples); err != nil {
-			return fmt.Errorf("core: training %s: %w", specs[i].Name, err)
+			return fmt.Errorf("core: training %s: %w", names[i], err)
 		}
 		out[i] = l
 		return nil

@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/constraint"
 	"repro/internal/learn"
+	"repro/internal/meta"
 )
 
 func TestTrainDeterministic(t *testing.T) {
@@ -174,5 +179,90 @@ func TestWrongTagsSorted(t *testing.T) {
 	wrong := WrongTags(src, m)
 	if len(wrong) != 2 || wrong[0] != "area" || wrong[1] != "gh-item" {
 		t.Errorf("WrongTags = %v", wrong)
+	}
+}
+
+// countingLearner records, for every Train call, the sorted set of
+// example groups (training sources) it was trained on.
+type countingLearner struct {
+	learn.Learner
+	mu     *sync.Mutex
+	trains *[]string
+}
+
+func (c countingLearner) Train(labels []string, examples []learn.Example) error {
+	seen := map[string]bool{}
+	var groups []string
+	for _, ex := range examples {
+		if !seen[ex.Group] {
+			seen[ex.Group] = true
+			groups = append(groups, ex.Group)
+		}
+	}
+	sort.Strings(groups)
+	c.mu.Lock()
+	*c.trains = append(*c.trains, strings.Join(groups, "+"))
+	c.mu.Unlock()
+	return c.Learner.Train(labels, examples)
+}
+
+// TestTrainOncePerLearnerAndFold pins the training work of Train: each
+// base learner trains exactly once on the full example set, and is
+// cross-validated exactly once per fold (leave-one-source-out here),
+// even though its columns feed both the interim and the final stacker.
+func TestTrainOncePerLearnerAndFold(t *testing.T) {
+	var mu sync.Mutex
+	trains := map[string]*[]string{}
+	cfg := DefaultConfig()
+	for i, spec := range cfg.BaseLearners {
+		rec := new([]string)
+		trains[spec.Name] = rec
+		inner := spec.Factory
+		cfg.BaseLearners[i].Factory = func() learn.Learner {
+			return countingLearner{Learner: inner(), mu: &mu, trains: rec}
+		}
+	}
+	sources := tinySources()
+	if _, err := Train(tinyMediated(), sources, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// One full training run plus one per held-out source.
+	want := []string{"homeseekers.com", "homeseekers.com+realestate.com", "realestate.com"}
+	for name, rec := range trains {
+		got := append([]string(nil), *rec...)
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s trained on %q, want each of %q exactly once", name, got, want)
+		}
+	}
+}
+
+// TestFromStateInterimPrefix checks that a snapshot restores only when
+// the interim stacker's learners lead the ensemble: the XML learner's
+// labeler consults the ensemble's learners in their place.
+func TestFromStateInterimPrefix(t *testing.T) {
+	st := trainTiny(t, DefaultConfig()).State()
+	if _, err := FromState(st, 1); err != nil {
+		t.Fatalf("FromState of a trained snapshot: %v", err)
+	}
+	for _, names := range [][]string{
+		{"NaiveBayes", "NameMatcher"},
+		{"NameMatcher", "ContentMatcher", "NaiveBayes", "XMLLearner", "Extra"},
+	} {
+		ss := st.InterimStacker.State()
+		ss.LearnerNames = names
+		ss.Weights = nil
+		for range ss.Labels {
+			ss.Weights = append(ss.Weights, make([]float64, len(names)))
+		}
+		bad, err := meta.RestoreStacker(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := *st
+		cp.InterimStacker = bad
+		if _, err := FromState(&cp, 1); err == nil {
+			t.Errorf("FromState accepted interim learners %v for ensemble %v", names, st.Names)
+		}
 	}
 }

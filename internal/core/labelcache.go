@@ -7,10 +7,10 @@ import (
 	"repro/internal/xmltree"
 )
 
-// memoShards is the fixed shard count of the core memo tables; like
-// WHIRL's prediction cache it only tunes lock contention (concurrent
-// CV folds, parallel match workers, concurrent serve requests all
-// consult one table) and never affects which value is returned.
+// memoShards is the fixed shard count of the core memo tables; it only
+// tunes lock contention (concurrent CV folds, parallel match workers,
+// concurrent serve requests all consult one table) and never affects
+// which value is returned.
 const memoShards = 8
 
 // maxMemoEntries bounds each memo table across all shards and both
@@ -35,10 +35,9 @@ type memo[V any] struct {
 	shards [memoShards]memoShard[V]
 }
 
-// memoShard is one lock domain of a memo table, with the same
-// two-generation eviction semantics as WHIRL's prediction cache:
-// inserts fill cur, a full cur rotates into old, old-generation hits
-// are promoted back.
+// memoShard is one lock domain of a memo table, with two-generation
+// eviction: inserts fill cur, a full cur rotates into old,
+// old-generation hits are promoted back.
 type memoShard[V any] struct {
 	mu sync.Mutex
 	// cur is the current generation, filled by inserts and promotions.

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/constraint"
 	"repro/internal/dtd"
@@ -43,26 +44,24 @@ type SystemState struct {
 	Learners []learn.Learner
 	Stacker  *meta.Stacker
 
-	// The interim ensemble consulted by the XML learner's matching
-	// labeler; empty when the XML learner is absent or stand-alone.
-	InterimNames    []string
-	InterimLearners []learn.Learner
-	InterimStacker  *meta.Stacker
+	// InterimStacker stacks the leading learners it names on their own
+	// for the XML learner's matching labeler; its learner names must be
+	// a prefix of Names. Nil when the XML learner is absent or
+	// stand-alone.
+	InterimStacker *meta.Stacker
 }
 
 // State snapshots the trained system.
 func (s *System) State() *SystemState {
 	st := &SystemState{
-		Config:          s.cfg,
-		MediatedDTD:     s.mediated.Schema.String(),
-		Synonyms:        s.mediated.Synonyms,
-		Labels:          append([]string(nil), s.labels...),
-		Names:           append([]string(nil), s.names...),
-		Learners:        append([]learn.Learner(nil), s.learners...),
-		Stacker:         s.stacker,
-		InterimNames:    append([]string(nil), s.interimNames...),
-		InterimLearners: append([]learn.Learner(nil), s.interimLearners...),
-		InterimStacker:  s.interimStacker,
+		Config:         s.cfg,
+		MediatedDTD:    s.mediated.Schema.String(),
+		Synonyms:       s.mediated.Synonyms,
+		Labels:         append([]string(nil), s.labels...),
+		Names:          append([]string(nil), s.names...),
+		Learners:       append([]learn.Learner(nil), s.learners...),
+		Stacker:        s.stacker,
+		InterimStacker: s.interimStacker,
 	}
 	st.Config.BaseLearners = nil
 	st.Config.Handler = nil
@@ -84,8 +83,8 @@ func (s *System) State() *SystemState {
 // FromState rebuilds a trained System from a snapshot: it re-parses
 // the mediated schema, reconstructs the constraint set from its specs,
 // and re-wires the XML learner's matching labeler to the restored
-// interim ensemble. workers sets the rebuilt system's worker budget
-// (same semantics as Config.Workers).
+// base learners and interim stacker. workers sets the rebuilt
+// system's worker budget (same semantics as Config.Workers).
 func FromState(st *SystemState, workers int) (*System, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil system state")
@@ -99,9 +98,11 @@ func FromState(st *SystemState, workers int) (*System, error) {
 	if st.Stacker == nil {
 		return nil, fmt.Errorf("core: state has no stacker")
 	}
-	if len(st.InterimNames) != len(st.InterimLearners) {
-		return nil, fmt.Errorf("core: %d interim names for %d interim learners",
-			len(st.InterimNames), len(st.InterimLearners))
+	if st.InterimStacker != nil {
+		in := st.InterimStacker.LearnerNames()
+		if len(in) > len(st.Names) || !slices.Equal(in, st.Names[:len(in)]) {
+			return nil, fmt.Errorf("core: interim learners %v are not a prefix of %v", in, st.Names)
+		}
 	}
 	schema, err := dtd.Parse(st.MediatedDTD)
 	if err != nil {
@@ -130,15 +131,12 @@ func FromState(st *SystemState, workers int) (*System, error) {
 		stacker:  st.Stacker,
 		combined: new(memo[learn.Prediction]),
 	}
-	if len(st.InterimLearners) > 0 {
-		if st.InterimStacker == nil {
-			return nil, fmt.Errorf("core: interim learners without an interim stacker")
-		}
-		sys.interimNames = append([]string(nil), st.InterimNames...)
-		sys.interimLearners = append([]learn.Learner(nil), st.InterimLearners...)
+	if st.InterimStacker != nil {
 		sys.interimStacker = st.InterimStacker
 		labeler := &ensembleLabeler{
-			mediated: med, learners: sys.interimLearners, stacker: sys.interimStacker,
+			mediated: med,
+			learners: sys.learners[:len(st.InterimStacker.LearnerNames())],
+			stacker:  st.InterimStacker,
 		}
 		for _, l := range sys.learners {
 			if xl, ok := l.(*xmllearner.Learner); ok {

@@ -12,14 +12,13 @@ package learn
 // The contract mirrors Predict exactly: PredictBatch(ins)[i] must be
 // bit-identical to Predict(ins[i]) for every instance, at every batch
 // size and order — batching is a pure evaluation-strategy change, and
-// determinism_test.go enforces it across domains, worker counts, and
-// cache shard counts.
+// determinism_test.go enforces it across domains and worker counts.
 type BatchPredictor interface {
 	Learner
 	// PredictBatch returns one prediction per instance, aligned with
 	// ins. Returned predictions are read-only and may be shared — with
-	// the learner's internal cache, between callers, and between
-	// duplicate instances of the same batch — exactly like Predict's.
+	// any internal cache, between callers, and between duplicate
+	// instances of the same batch — exactly like Predict's.
 	//
 	// lint:shared
 	PredictBatch(ins []Instance) []Prediction

@@ -303,11 +303,20 @@ func crossValidateFolds(factory Factory, labels []string, examples []Example, fo
 		if err := l.Train(labels, train); err != nil {
 			return fmt.Errorf("learn: cross-validation fold %d: %w", f, err)
 		}
+		// Score the held-out fold as one batch: its instances repeat
+		// (a source's tag names recur in every listing), and a
+		// BatchPredictor scores each distinct one once.
+		var held []int
+		var ins []Instance
 		for i, ex := range examples {
 			if fold[i] == f {
-				//lint:ignore workerpure fold[i] == f partitions the indices, so each preds slot is written by exactly one task
-				preds[i] = l.Predict(ex.Instance)
+				held = append(held, i)
+				ins = append(ins, ex.Instance)
 			}
+		}
+		for k, p := range PredictAll(l, ins) {
+			//lint:ignore workerpure fold[i] == f partitions the indices, so each preds slot is written by exactly one task
+			preds[held[k]] = p
 		}
 		return nil
 	})

@@ -1,8 +1,10 @@
 package learn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -228,5 +230,99 @@ func TestAccuracy(t *testing.T) {
 	}
 	if Accuracy(nil, nil) != 0 {
 		t.Error("empty Accuracy should be 0")
+	}
+}
+
+// batchFreq is a BatchPredictor: it scores each label by the smoothed
+// frequency of the instance's tag name under that label in training.
+// PredictBatch scores each distinct tag name once and counts its calls.
+type batchFreq struct {
+	labels  []string
+	counts  map[string]map[string]float64
+	batches *atomic.Int64
+}
+
+func (b *batchFreq) Name() string { return "batchFreq" }
+func (b *batchFreq) Train(labels []string, examples []Example) error {
+	b.labels = labels
+	b.counts = make(map[string]map[string]float64)
+	for _, ex := range examples {
+		if b.counts[ex.Instance.TagName] == nil {
+			b.counts[ex.Instance.TagName] = make(map[string]float64)
+		}
+		b.counts[ex.Instance.TagName][ex.Label]++
+	}
+	return nil
+}
+func (b *batchFreq) Predict(in Instance) Prediction {
+	p := make(Prediction, len(b.labels))
+	for _, c := range b.labels {
+		p[c] = 0.1 + b.counts[in.TagName][c]/3
+	}
+	return p.Normalize()
+}
+func (b *batchFreq) PredictBatch(ins []Instance) []Prediction {
+	b.batches.Add(1)
+	seen := make(map[string]Prediction)
+	out := make([]Prediction, len(ins))
+	for i, in := range ins {
+		p, ok := seen[in.TagName]
+		if !ok {
+			p = b.Predict(in)
+			seen[in.TagName] = p
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// perInstance hides a learner's PredictBatch, forcing the reference
+// per-instance Predict path.
+type perInstance struct{ Learner }
+
+// TestCrossValidateBatchMatchesPredict checks that CrossValidate scores
+// each held-out fold through PredictBatch, once per fold, and that the
+// result is bit-identical to per-instance Predict — for source folds
+// and for shuffled folds.
+func TestCrossValidateBatchMatchesPredict(t *testing.T) {
+	labels := []string{"A", "B", "C"}
+	for _, groups := range []int{3, 0} {
+		var examples []Example
+		for i := 0; i < 30; i++ {
+			ex := Example{Instance: Instance{TagName: fmt.Sprintf("t%d", i%7)}, Label: labels[i%3]}
+			if groups > 0 {
+				ex.Group = fmt.Sprintf("s%d", i%groups)
+			}
+			examples = append(examples, ex)
+		}
+		var batches atomic.Int64
+		batched := func() Learner { return &batchFreq{batches: &batches} }
+		ref := func() Learner { return perInstance{batched()} }
+		run := func(f Factory) []Prediction {
+			preds, err := CrossValidate(f, labels, examples, 5, rand.New(rand.NewSource(11)), 2)
+			if err != nil {
+				t.Fatalf("groups=%d: %v", groups, err)
+			}
+			return preds
+		}
+		want := run(ref)
+		if n := batches.Load(); n != 0 {
+			t.Fatalf("groups=%d: reference run made %d batch calls", groups, n)
+		}
+		got := run(batched)
+		folds := int64(5)
+		if groups > 0 {
+			folds = int64(groups)
+		}
+		if n := batches.Load(); n != folds {
+			t.Errorf("groups=%d: %d PredictBatch calls, want one per fold (%d)", groups, n, folds)
+		}
+		for i := range want {
+			for _, c := range labels {
+				if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
+					t.Fatalf("groups=%d pred[%d][%s]: batch %.17g, per-instance %.17g", groups, i, c, got[i][c], want[i][c])
+				}
+			}
+		}
 	}
 }

@@ -41,14 +41,6 @@ type Config struct {
 	// Smoothing is added to every label score before normalization so
 	// no label is ever ruled out entirely.
 	Smoothing float64
-	// CacheShards sets the number of prediction-cache lock shards,
-	// rounded up to a power of two; zero selects the default. Purely a
-	// process-local concurrency knob: shard count never changes which
-	// prediction is returned (entries are pure functions of the
-	// extracted text and the frozen model), so like core.Config.Workers
-	// it is deliberately not part of the persisted model state.
-	//lint:ignore statecodec CacheShards is a process-local lock-sharding knob with no effect on predictions; persisting it would pin a host concurrency choice into the artifact
-	CacheShards int
 }
 
 // DefaultConfig matches the behaviour described in the paper: consider
@@ -86,28 +78,12 @@ type Classifier struct {
 	// per query document for a batch chunk — so steady-state prediction
 	// allocates nothing for scoring.
 	scratch pool.Floats
-	// cache memoizes predictions by extracted text: name-matcher inputs
-	// repeat once per column instance, so hit rates are very high. It
-	// is sharded by key hash so the parallel match/CV fan-out and
-	// concurrent serve requests do not serialize on one lock; entries
-	// are pure functions of the frozen model, so losing a concurrent
-	// insert only costs a recomputation, never determinism.
-	cache *predCache
 }
-
-// maxCacheEntries bounds the prediction cache (both generations
-// together); each generation holds at most half.
-const maxCacheEntries = 8192
 
 // New returns an untrained classifier. name identifies it in reports;
 // extract selects the instance text.
 func New(name string, extract Extractor, cfg Config) *Classifier {
-	return &Classifier{
-		name:    name,
-		extract: extract,
-		cfg:     cfg,
-		cache:   newPredCache(cfg.CacheShards, maxCacheEntries),
-	}
+	return &Classifier{name: name, extract: extract, cfg: cfg}
 }
 
 // Name implements learn.Learner.
@@ -152,10 +128,6 @@ func (c *Classifier) Train(labels []string, examples []learn.Example) error {
 		c.corpus.AddDocument(bags[i])
 	}
 	c.corpus.Freeze()
-	// Train is documented as happening-before any concurrent Predict,
-	// but the cache reset still takes the shard locks: it is free here
-	// and keeps the guarded-by invariant unconditional.
-	c.cache.reset()
 	c.docLabels = docLabels
 	c.postings = make([][]posting, c.corpus.Vocab().Len())
 	for i := range texts {
@@ -173,21 +145,11 @@ func (c *Classifier) Train(labels []string, examples []learn.Example) error {
 // Predict computes the similarity of the instance to every stored
 // example and combines the similarities of the qualifying neighbours
 // per label with a noisy-or: s(c) = 1 − Π(1 − simᵢ). Scores are
-// smoothed and normalized to a confidence distribution. The returned
-// prediction may be shared with the classifier's cache and other
-// callers; callers must treat it as read-only.
+// smoothed and normalized to a confidence distribution.
 //
 // lint:hot
 func (c *Classifier) Predict(in learn.Instance) learn.Prediction {
-	extracted := c.extract(in)
-	if p, ok := c.cache.get(extracted); ok {
-		return p
-	}
-	p := c.predict(extracted)
-	if c.corpus != nil {
-		c.cache.put(extracted, p)
-	}
-	return p
+	return c.predict(c.extract(in))
 }
 
 // maxBatchRows bounds the dense chunk matrix PredictBatch scores into
@@ -196,9 +158,10 @@ func (c *Classifier) Predict(in learn.Instance) learn.Prediction {
 const maxBatchRows = 64
 
 // PredictBatch implements learn.BatchPredictor: the whole batch is
-// deduplicated by extracted text, cache misses are scored in chunks
-// by one merged pass over the shared postings table, and duplicate
-// instances share one prediction (read-only by the Predict contract).
+// deduplicated by extracted text, the distinct texts are scored in
+// chunks by one merged pass over the shared postings table, and
+// duplicate instances share one prediction (read-only by the Predict
+// contract).
 // Per instance the result is bit-identical to Predict: predictChunk
 // accumulates each query row's float terms in exactly the
 // per-instance order, and scoring goes through the same scoreSims.
@@ -218,35 +181,26 @@ func (c *Classifier) PredictBatch(ins []learn.Instance) []learn.Prediction {
 		}
 		return out
 	}
-	// Dedup by extracted text and resolve cache hits; only distinct
-	// misses reach the batched scoring pass.
+	// Dedup by extracted text; only distinct texts reach the batched
+	// scoring pass.
 	//lint:ignore hotalloc the per-batch dedup index replaces a full model walk per duplicate instance; one map per batch is the cheap side of that trade
 	idx := make(map[string]int, len(ins))
 	pos := make([]int, len(ins))
-	uniqPreds := make([]learn.Prediction, 0, len(ins))
-	missTexts := make([]string, 0, len(ins))
-	missSlots := make([]int, 0, len(ins))
+	texts := make([]string, 0, len(ins))
 	for i, in := range ins {
 		extracted := c.extract(in)
 		u, ok := idx[extracted]
 		if !ok {
-			u = len(uniqPreds)
+			u = len(texts)
 			idx[extracted] = u
-			p, hit := c.cache.get(extracted)
-			uniqPreds = append(uniqPreds, p) // nil placeholder on miss
-			if !hit {
-				missTexts = append(missTexts, extracted)
-				missSlots = append(missSlots, u)
-			}
+			texts = append(texts, extracted)
 		}
 		pos[i] = u
 	}
-	for start := 0; start < len(missTexts); start += maxBatchRows {
-		end := min(start+maxBatchRows, len(missTexts))
-		c.predictChunk(missTexts[start:end], uniqPreds, missSlots[start:end])
-	}
-	for k, txt := range missTexts {
-		c.cache.put(txt, uniqPreds[missSlots[k]])
+	uniqPreds := make([]learn.Prediction, len(texts))
+	for start := 0; start < len(texts); start += maxBatchRows {
+		end := min(start+maxBatchRows, len(texts))
+		c.predictChunk(texts[start:end], uniqPreds[start:end])
 	}
 	for i := range ins {
 		out[i] = uniqPreds[pos[i]]
@@ -264,12 +218,12 @@ type qterm struct {
 
 // predictChunk scores one chunk of extracted texts with a single
 // merged traversal of the postings table, writing the prediction for
-// texts[k] into preds[slots[k]]. All chunk queries' terms are merged
+// texts[k] into preds[k]. All chunk queries' terms are merged
 // and sorted by (token id, row): walking that list visits each needed
 // posting list once per querying row, ids ascending — so each row's
 // accumulation order is exactly the per-instance predict order and
 // the results are bit-identical to Predict's.
-func (c *Classifier) predictChunk(texts []string, preds []learn.Prediction, slots []int) {
+func (c *Classifier) predictChunk(texts []string, preds []learn.Prediction) {
 	nd := len(c.docLabels)
 	terms := make([]qterm, 0, 16*len(texts))
 	for qi, txt := range texts {
@@ -312,7 +266,7 @@ func (c *Classifier) predictChunk(texts []string, preds []learn.Prediction, slot
 		i = j
 	}
 	for qi := range texts {
-		preds[slots[qi]] = c.scoreSims(sims[qi*nd : (qi+1)*nd])
+		preds[qi] = c.scoreSims(sims[qi*nd : (qi+1)*nd])
 	}
 	c.scratch.Put(sims)
 }
@@ -359,7 +313,7 @@ func (c *Classifier) predictUntrained() learn.Prediction {
 // per-instance and the batched path end here, which is what makes
 // their results structurally bit-identical.
 func (c *Classifier) scoreSims(sims []float64) learn.Prediction {
-	//lint:ignore hotalloc the result Prediction is a map by API contract and is retained by the cache, so it must be freshly allocated per distinct input
+	//lint:ignore hotalloc the result Prediction is a map by API contract and escapes to the caller, who may retain it (the core memo does), so it must be freshly allocated per distinct input
 	p := make(learn.Prediction, len(c.labels))
 	type neighbor struct {
 		sim float64

@@ -143,8 +143,9 @@ func (l *Learner) SetMatchLabeler(nl NodeLabeler) { l.matchLabeler = nl }
 // State snapshots the trained learner's Naive Bayes model for
 // serialization; nil if untrained. The labelers are code, not data:
 // the training labeler is only needed during Train, and the matching
-// labeler is rebuilt by the pipeline from the serialized interim
-// ensemble and re-attached with SetMatchLabeler.
+// labeler is rebuilt by the pipeline from the restored base learners
+// and the serialized interim stacker, and re-attached with
+// SetMatchLabeler.
 func (l *Learner) State() *naivebayes.State { return l.nb.State() }
 
 // Restore rebuilds a trained XML learner from its serialized Naive

@@ -65,44 +65,48 @@ type Config struct {
 // cross-validation with regression weights.
 func DefaultConfig() Config { return Config{Folds: 5} }
 
-// Train fits the stacker. factories supply fresh base learners for the
-// cross-validation; names must align with factories and with the
-// prediction vectors later passed to Combine. examples is the training
-// set shared by all learners (each learner extracts its own features
-// from the instances). seed drives the cross-validation shuffles: each
-// learner's CV gets its own RNG seeded by learn.DeriveSeed(seed, j),
-// so the per-learner rounds can run concurrently without sharing rand
-// state and produce identical folds at every worker count.
+// Train fits a stacker over the given learners in one call:
+// Fit(CrossValidate(...)). core.Train calls the two halves separately
+// so the interim and final stackers share their base-learner columns.
 func Train(labels []string, names []string, factories []learn.Factory,
 	examples []learn.Example, cfg Config, seed int64) (*Stacker, error) {
+	cv, err := CrossValidate(labels, names, factories, examples, cfg, seed, 0)
+	if err != nil {
+		return nil, err
+	}
+	return Fit(labels, names, examples, cv, cfg)
+}
+
+// CrossValidate produces CV(L) of §3.1 step 5(a) for each learner:
+// one prediction per example, made by copies of the learner trained on
+// the other folds. factories supply fresh base learners; names align
+// with them. The learners occupy stack positions from, from+1, … of
+// the stacker their columns will fit, and the learner at position j
+// shuffles its folds (single-source training) with an RNG seeded by
+// learn.DeriveSeed(seed, j). A stack's columns are therefore the same
+// whether they are computed in one call or in several, and the
+// per-learner rounds run concurrently without sharing rand state.
+//
+// With UniformWeights, or with no examples, Fit needs no columns and
+// CrossValidate returns nil without training anything.
+func CrossValidate(labels []string, names []string, factories []learn.Factory,
+	examples []learn.Example, cfg Config, seed int64, from int) ([][]learn.Prediction, error) {
 	if len(names) != len(factories) {
 		return nil, fmt.Errorf("meta: %d names but %d factories", len(names), len(factories))
 	}
 	if len(factories) == 0 {
 		return nil, fmt.Errorf("meta: no base learners")
 	}
-	s := &Stacker{
-		labels:       append([]string(nil), labels...),
-		learnerNames: append([]string(nil), names...),
-		weights:      make(map[string][]float64, len(labels)),
-	}
-	k := len(factories)
 	if cfg.UniformWeights || len(examples) == 0 {
-		for _, c := range labels {
-			s.weights[c] = uniformWeights(k)
-		}
-		return s, nil
+		return nil, nil
 	}
-
-	// Step 5(a): apply base learners to training data under
-	// cross-validation, producing CV(L) per learner.
 	folds := cfg.Folds
 	if folds == 0 {
 		folds = 5
 	}
-	cv := make([][]learn.Prediction, k)
-	err := parallel.ForEach(context.Background(), cfg.Workers, k, func(_ context.Context, j int) error {
-		rng := rand.New(rand.NewSource(learn.DeriveSeed(seed, int64(j))))
+	cv := make([][]learn.Prediction, len(factories))
+	err := parallel.ForEach(context.Background(), cfg.Workers, len(factories), func(_ context.Context, j int) error {
+		rng := rand.New(rand.NewSource(learn.DeriveSeed(seed, int64(from+j))))
 		preds, err := learn.CrossValidate(factories[j], labels, examples, folds, rng, cfg.Workers)
 		if err != nil {
 			return fmt.Errorf("meta: CV for %s: %w", names[j], err)
@@ -113,9 +117,35 @@ func Train(labels []string, names []string, factories []learn.Factory,
 	if err != nil {
 		return nil, err
 	}
+	return cv, nil
+}
 
-	// Steps 5(b)-(c): per label, gather ⟨s(ci|x,L1..Lk), l(ci,x)⟩ and
-	// regress.
+// Fit regresses cross-validated columns into per-label learner weights
+// (§3.1 steps 5(b)-(c)). cv[j] is learner names[j]'s column from
+// CrossValidate, aligned with examples; names must also align with the
+// prediction vectors later passed to Combine.
+func Fit(labels []string, names []string, examples []learn.Example,
+	cv [][]learn.Prediction, cfg Config) (*Stacker, error) {
+	k := len(names)
+	if k == 0 {
+		return nil, fmt.Errorf("meta: no base learners")
+	}
+	s := &Stacker{
+		labels:       append([]string(nil), labels...),
+		learnerNames: append([]string(nil), names...),
+		weights:      make(map[string][]float64, len(labels)),
+	}
+	if cfg.UniformWeights || len(examples) == 0 {
+		for _, c := range labels {
+			s.weights[c] = uniformWeights(k)
+		}
+		return s, nil
+	}
+	if len(cv) != k {
+		return nil, fmt.Errorf("meta: %d columns for %d learners", len(cv), k)
+	}
+
+	// Per label, gather ⟨s(ci|x,L1..Lk), l(ci,x)⟩ and regress.
 	for _, c := range labels {
 		x := make([][]float64, len(examples))
 		y := make([]float64, len(examples))

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -258,5 +259,50 @@ func TestPaperExampleWeights(t *testing.T) {
 	}
 	if best, _ := combined.Best(); best != "ADDRESS" {
 		t.Errorf("Best = %q", best)
+	}
+}
+
+// TestCrossValidateSplitCalls checks the stack-position seeding: the
+// columns of a stack computed in one CrossValidate call equal those
+// computed one learner per call at the matching positions, on shuffled
+// (single-source) folds, so Fit sees bit-identical inputs either way.
+func TestCrossValidateSplitCalls(t *testing.T) {
+	// Two copies of each tag: an oracle's CV prediction depends on
+	// whether the copy landed in the same fold, so the columns depend
+	// on the fold shuffle of the learner's stack position.
+	var examples []learn.Example
+	for i := 0; i < 24; i++ {
+		examples = append(examples, learn.Example{
+			Instance: learn.Instance{TagName: fmt.Sprintf("t%d", i%12)},
+			Label:    labels[i%12%3],
+		})
+	}
+	names := []string{"a", "b"}
+	factories := []learn.Factory{
+		func() learn.Learner { return &oracle{} },
+		func() learn.Learner { return &oracle{} },
+	}
+	const seed = 9
+	whole, err := CrossValidate(labels, names, factories, examples, DefaultConfig(), seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := false
+	for j := range names {
+		part, err := CrossValidate(labels, names[j:j+1], factories[j:j+1], examples, DefaultConfig(), seed, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range examples {
+			for _, c := range labels {
+				if math.Float64bits(part[0][i][c]) != math.Float64bits(whole[j][i][c]) {
+					t.Fatalf("%s example %d label %s: split call %v, one call %v", names[j], i, c, part[0][i][c], whole[j][i][c])
+				}
+				differ = differ || whole[0][i][c] != whole[1][i][c]
+			}
+		}
+	}
+	if !differ {
+		t.Fatal("both stack positions produced the same column; the test cannot see their seeds")
 	}
 }

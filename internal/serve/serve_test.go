@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/modeltest"
@@ -580,5 +581,55 @@ func TestHotReloadServesConsistentSnapshots(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestMatchReportsSearchFallback forces the A* search past a tiny
+// expansion budget: the response must say the mapping was completed
+// greedily ("complete": false) and report the expansions spent. A
+// model on the default budget reports a complete search.
+func TestMatchReportsSearchFallback(t *testing.T) {
+	reg, _, ts := newTestServer(t)
+	st := modeltest.State(t)
+	h := constraint.NewHandler()
+	h.MaxExpansions = 1
+	st.Config.Handler = h
+	sys, err := core.FromState(st, 1)
+	if err != nil {
+		t.Fatalf("FromState: %v", err)
+	}
+	reg.Set(&Model{Name: "tiny-budget", Labels: modeltest.Labels(), sys: sys})
+
+	for _, tc := range []struct {
+		model    string
+		complete bool
+	}{
+		{"houses", true},
+		{"tiny-budget", false},
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/match", MatchRequest{
+			Model: tc.model,
+			DTD:   modeltest.SourceDTD,
+			XML:   modeltest.SourceXML,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.model, resp.StatusCode, raw)
+		}
+		if want := fmt.Sprintf(`"complete":%v`, tc.complete); !bytes.Contains(raw, []byte(want)) {
+			t.Errorf("%s: response lacks %s: %s", tc.model, want, raw)
+		}
+		var got MatchResponse
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Expansions == nil || *got.Expansions < 1 {
+			t.Errorf("%s: expansions = %v, want at least 1", tc.model, got.Expansions)
+		}
+		if !tc.complete && *got.Expansions > h.MaxExpansions {
+			t.Errorf("%s: %d expansions exceed the budget of %d", tc.model, *got.Expansions, h.MaxExpansions)
+		}
+		if len(got.Mapping) == 0 {
+			t.Errorf("%s: empty mapping", tc.model)
+		}
 	}
 }

@@ -76,7 +76,13 @@ type MatchResponse struct {
 	Mapping     map[string]string             `json:"mapping"`
 	Predictions map[string]map[string]float64 `json:"predictions,omitempty"`
 	Partial     map[string]string             `json:"partial,omitempty"`
-	Error       string                        `json:"error,omitempty"`
+	// Complete and Expansions report the constraint handler's A*
+	// search whenever it ran. Complete is false when the search used up
+	// its expansion budget and completed the mapping greedily, ignoring
+	// hard constraints; Expansions counts the nodes it expanded.
+	Complete   *bool  `json:"complete,omitempty"`
+	Expansions *int   `json:"expansions,omitempty"`
+	Error      string `json:"error,omitempty"`
 	// Status carries the per-request HTTP-equivalent code inside batch
 	// replies, where the outer response is 200 even if an element
 	// failed.
@@ -313,6 +319,9 @@ func (s *Server) match(ctx context.Context, req *MatchRequest) (MatchResponse, i
 		SourceName: req.SourceName,
 		Mapping:    res.Mapping,
 		Partial:    res.Partial,
+	}
+	if h := res.Handler; h != nil {
+		resp.Complete, resp.Expansions = &h.Complete, &h.Expansions
 	}
 	if !req.OmitPredictions {
 		resp.Predictions = make(map[string]map[string]float64, len(res.TagPredictions))

@@ -17,7 +17,7 @@ type Bag map[string]int
 
 // NewBag builds a Bag from a token slice.
 func NewBag(tokens []string) Bag {
-	//lint:ignore hotalloc Bag is the construction-side map representation; predict paths vectorize each distinct text once (whirl's cache absorbs repeats) and never iterate a Bag in scoring
+	//lint:ignore hotalloc Bag is the construction-side map representation; batched predicts build one per distinct text (repeats are deduplicated per batch and memoized per instance in core) and nothing iterates a Bag in scoring
 	b := make(Bag, len(tokens))
 	for _, t := range tokens {
 		b[t]++
