@@ -7,11 +7,11 @@
 #
 # It fails on unformatted files, go vet findings, failing lsdlint or
 # lsdschema self-tests, lsdlint findings in the Go tree, lsdschema
-# findings in the domain schemas and constraint sets, a suppression
-# inventory that drifted from the lint/suppressions.txt baseline, a
-# bench-smoke allocation regression, a serve-smoke p99 latency
-# regression, or a broken train → save → serve → match path (the
-# lsdserve smoke at the end).
+# findings in the domain schemas and constraint sets, a golden-corpus
+# or determinism-suite mismatch, a suppression inventory that drifted
+# from the lint/suppressions.txt baseline, a bench-smoke allocation
+# regression, a serve-smoke p99 latency regression, or a broken
+# train → save → serve → match path (the lsdserve smoke at the end).
 set -e
 cd "$(dirname "$0")"
 
@@ -30,6 +30,12 @@ go vet ./...
 # analyzer (internal/analysis/testdata) and the -checks/-timing/-budget
 # driver tests.
 go test ./internal/analysis/... ./cmd/lsdlint/... ./internal/schemacheck/... ./cmd/lsdschema/...
+
+# Bit-identity gate: the golden mapping corpus (testdata/golden: every
+# datagen domain's mapping, per-tag predictions and stacker weights)
+# and the determinism suite (batched vs per-instance scoring across
+# worker counts). A matcher speed-up must leave both green.
+go test -count=1 -run 'Golden|Determinism' .
 
 # Tree-wide lint with per-analyzer timing and a wall-clock budget: the
 # whole-program analyzers (statecodec, snapshotonce, boundedread,

@@ -92,8 +92,12 @@ type Constraint interface {
 	Violations(src *Source, m Assignment, complete bool) float64
 	// Labels returns the mediated labels whose assignment can change the
 	// constraint's violation degree, or nil when any assignment can
-	// (e.g. equality feedback). The A* handler uses this to re-evaluate
-	// only the constraints affected by each new assignment.
+	// (e.g. equality feedback). The handler trusts this list: A* and
+	// repair skip the constraint on every step whose labels — the label
+	// a tag gets and, in repair, the one it loses — it does not list,
+	// and keep its degree from before the step. A constraint that reads
+	// an unlisted label therefore gets wrong costs; when in doubt,
+	// return nil.
 	Labels() []string
 }
 
@@ -119,7 +123,6 @@ func Cost(constraints []Constraint, src *Source, m Assignment, complete bool) fl
 // Scores are floored at a small ε so a zero score penalizes heavily but
 // remains finite, keeping A* able to compare mappings.
 func ProbCost(preds map[string]learn.Prediction, m Assignment) float64 {
-	const eps = 1e-6
 	// Sum in sorted tag order, not map order: float addition is not
 	// associative, so a map-order sum would give A* node costs that
 	// differ in the last bits between runs and could flip tie-breaks.
@@ -130,13 +133,20 @@ func ProbCost(preds map[string]learn.Prediction, m Assignment) float64 {
 	sort.Strings(tags)
 	cost := 0.0
 	for _, tag := range tags {
-		s := preds[tag][m[tag]]
-		if s < eps {
-			s = eps
-		}
-		cost -= math.Log(s)
+		cost -= logScore(preds, tag, m[tag])
 	}
 	return cost
+}
+
+// logScore is log s(label | tag) with the score floored at ε, one term
+// of ProbCost.
+func logScore(preds map[string]learn.Prediction, tag, label string) float64 {
+	const eps = 1e-6
+	s := preds[tag][label]
+	if s < eps {
+		s = eps
+	}
+	return math.Log(s)
 }
 
 // Violation describes one violated constraint for reporting.

@@ -38,7 +38,8 @@ type Handler struct {
 }
 
 // NewHandler returns a handler with the defaults used in the
-// experiments: α = 1, 8 candidates per tag, 200k expansions.
+// experiments: α = 1, 6 candidates per tag, 50k expansions and a
+// heuristic inflation ε = 3.
 func NewHandler(constraints ...Constraint) *Handler {
 	return &Handler{
 		Constraints:   constraints,
@@ -71,7 +72,8 @@ type Result struct {
 // stored as compact label-index arrays. Costs are evaluated
 // incrementally: assigning one tag re-evaluates only the constraints
 // whose Labels() mention the new label (plus the global ones), against
-// a scratch Assignment reused across the expansion.
+// a scratch Assignment reused across the expansion. The repair pass
+// that polishes the result scores its moves from the same index.
 func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, error) {
 	if len(src.Tags) == 0 {
 		return &Result{Mapping: Assignment{}, Complete: true}, nil
@@ -79,20 +81,7 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 	order := h.tagOrder(src)
 	cands := h.candidates(src, order, preds)
 
-	// Index constraints by the labels they react to; nil-Labels
-	// constraints are global and re-checked on every assignment.
-	byLabel := make(map[string][]Constraint)
-	var global []Constraint
-	for _, c := range h.Constraints {
-		ls := c.Labels()
-		if ls == nil {
-			global = append(global, c)
-			continue
-		}
-		for _, l := range ls {
-			byLabel[l] = append(byLabel[l], c)
-		}
-	}
+	ix := h.index()
 	// Completion-sensitive constraints (e.g. exactly-one frequency) are
 	// re-checked once when an assignment completes.
 	var completionSensitive []Constraint
@@ -136,22 +125,28 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 	var bestPartial *state
 	scratch := Assignment{}
 
-	// delta evaluates the cost change of adding the idx-th assignment to
-	// scratch (which must already contain it): the affected constraints'
-	// violations after minus before. Monotone constraints make the
-	// before-terms cheap to subtract.
-	affected := func(label string) []Constraint {
-		cs := byLabel[label]
-		if len(global) == 0 {
+	// affected lists the constraints to re-check when a tag is assigned
+	// label: those indexed under it, then the global ones. Each
+	// candidate's cost change is the affected constraints' violations
+	// after minus before; monotone constraints make the before-terms
+	// cheap to subtract.
+	affected := func(label string) []int {
+		cs := ix.byLabel[label]
+		if len(ix.global) == 0 {
 			return cs
 		}
-		return append(append([]Constraint{}, cs...), global...)
+		return append(append([]int{}, cs...), ix.global...)
 	}
+	// before caches each affected constraint's violation degree without
+	// the new assignment; seen[k] == expansions marks entry k valid for the
+	// current expansion.
+	before := make([]float64, len(h.Constraints))
+	seen := make([]int, len(h.Constraints))
 	for pq.Len() > 0 {
 		cur := heap.Pop(pq).(*state)
 		if cur.idx == len(order) {
 			m := materialize(cur.labels)
-			cost := h.repair(src, preds, order, cands, m)
+			cost := h.repair(src, preds, order, cands, m, ix)
 			return &Result{
 				Mapping:    m,
 				Cost:       cost,
@@ -175,31 +170,28 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 		}
 		tag := order[cur.idx]
 		complete := cur.idx+1 == len(order)
-		// Cache each affected constraint's violation degree before the
-		// new assignment, keyed by constraint identity.
-		beforeCache := make(map[Constraint]float64)
 
 		for ci, cand := range cands[cur.idx] {
 			scratch[tag] = cand.label
 			dCost := 0.0
 			feasible := true
-			for _, c := range affected(cand.label) {
-				before, ok := beforeCache[c]
-				if !ok {
+			for _, k := range affected(cand.label) {
+				c := h.Constraints[k]
+				if seen[k] != expansions {
 					delete(scratch, tag)
-					before = c.Violations(src, scratch, false)
+					before[k] = c.Violations(src, scratch, false)
 					scratch[tag] = cand.label
-					beforeCache[c] = before
+					seen[k] = expansions
 				}
 				after := c.Violations(src, scratch, false)
-				if after <= before {
+				if after <= before[k] {
 					continue
 				}
 				if c.Hard() {
 					feasible = false
 					break
 				}
-				dCost += c.Weight() * (after - before)
+				dCost += c.Weight() * (after - before[k])
 			}
 			if feasible && complete {
 				for _, c := range completionSensitive {
@@ -242,7 +234,7 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 		}
 		m[tag] = bestLabel
 	}
-	cost := h.repair(src, preds, order, cands, m)
+	cost := h.repair(src, preds, order, cands, m, ix)
 	return &Result{
 		Mapping:    m,
 		Cost:       cost,
@@ -257,48 +249,129 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 // tag early and push the right tag to a lesser choice ("steal chains");
 // a swap move repairs exactly that in one step, where single
 // reassignments would have to pass through a hard frequency violation.
-// The mapping is repaired in place; the final cost is returned.
+// The mapping, which must assign every tag of order, is repaired in
+// place; the final cost is returned.
+//
+// Moves are scored incrementally. A move changes the labels of at most
+// two tags, so it re-evaluates only the constraints ix indexes under
+// the labels it takes away and gives (plus the global ones) and keeps
+// every other constraint's degree from before; a rejected move restores
+// the saved degrees. The total is still Cost + α·ProbCost of m, summed
+// term by term in the same order, so it is bit-identical to evaluating
+// both from scratch.
 func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
-	order []string, cands [][]candidate, m Assignment) float64 {
+	order []string, cands [][]candidate, m Assignment, ix *constraintIndex) float64 {
 
-	total := func() float64 {
-		cc := Cost(h.Constraints, src, m, true)
-		if math.IsInf(cc, 1) {
-			return cc
-		}
-		return h.Alpha*ProbCost(preds, m) + cc
+	// viol holds each constraint's violation degree on m, in
+	// h.Constraints order.
+	viol := make([]float64, len(h.Constraints))
+	for k, c := range h.Constraints {
+		viol[k] = c.Violations(src, m, true)
 	}
+	// logs holds each tag's floored log score in sorted-tag order, the
+	// order ProbCost sums in; moves never add or remove keys of m, so
+	// the tags are sorted once.
+	tags := make([]string, 0, len(m))
+	for tag := range m {
+		tags = append(tags, tag)
+	}
+	sort.Strings(tags)
+	slot := make(map[string]int, len(tags))
+	logs := make([]float64, len(tags))
+	for i, tag := range tags {
+		slot[tag] = i
+		logs[i] = logScore(preds, tag, m[tag])
+	}
+	probCost := func() float64 {
+		cost := 0.0
+		for _, l := range logs {
+			cost -= l
+		}
+		return cost
+	}
+	total := func() float64 {
+		cc := 0.0
+		for k, c := range h.Constraints {
+			v := viol[k]
+			if v <= 0 {
+				continue
+			}
+			if c.Hard() {
+				return math.Inf(1)
+			}
+			cc += c.Weight() * v
+		}
+		return h.Alpha*probCost() + cc
+	}
+
+	// rescore re-evaluates, once each, the constraints a move between
+	// labels a and b can affect, saving their old degrees for undo.
+	mark := make([]int, len(h.Constraints))
+	epoch := 0
+	var touched []int
+	var saved []float64
+	rescore := func(a, b string) {
+		epoch++
+		touched, saved = touched[:0], saved[:0]
+		for _, ks := range [3][]int{ix.byLabel[a], ix.byLabel[b], ix.global} {
+			for _, k := range ks {
+				if mark[k] == epoch {
+					continue
+				}
+				mark[k] = epoch
+				touched = append(touched, k)
+				saved = append(saved, viol[k])
+				viol[k] = h.Constraints[k].Violations(src, m, true)
+			}
+		}
+	}
+	undo := func() {
+		for i, k := range touched {
+			viol[k] = saved[i]
+		}
+	}
+
 	cur := total()
 	for pass := 0; pass < 10; pass++ {
 		improved := false
 		// Single reassignments.
 		for i, tag := range order {
-			was := m[tag]
+			was, s := m[tag], slot[tag]
 			for _, cand := range cands[i] {
 				if cand.label == was {
 					continue
 				}
 				m[tag] = cand.label
+				oldLog := logs[s]
+				logs[s] = logScore(preds, tag, cand.label)
+				rescore(was, cand.label)
 				if c := total(); c < cur-1e-12 {
 					cur, was, improved = c, cand.label, true
 				} else {
-					m[tag] = was
+					m[tag], logs[s] = was, oldLog
+					undo()
 				}
 			}
-			m[tag] = was
 		}
 		// Pairwise swaps.
 		for i := 0; i < len(order); i++ {
 			for j := i + 1; j < len(order); j++ {
 				ti, tj := order[i], order[j]
-				if m[ti] == m[tj] {
+				a, b := m[ti], m[tj]
+				if a == b {
 					continue
 				}
-				m[ti], m[tj] = m[tj], m[ti]
+				si, sj := slot[ti], slot[tj]
+				li, lj := logs[si], logs[sj]
+				m[ti], m[tj] = b, a
+				logs[si], logs[sj] = logScore(preds, ti, b), logScore(preds, tj, a)
+				rescore(a, b)
 				if c := total(); c < cur-1e-12 {
 					cur, improved = c, true
 				} else {
-					m[ti], m[tj] = m[tj], m[ti]
+					m[ti], m[tj] = a, b
+					logs[si], logs[sj] = li, lj
+					undo()
 				}
 			}
 		}
@@ -308,20 +381,41 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 	}
 	if math.IsInf(cur, 1) {
 		// The greedy fallback can be infeasible; report its soft cost.
-		return h.Alpha*ProbCost(preds, m) + softOnlyCost(h.Constraints, src, m)
+		soft := 0.0
+		for k, c := range h.Constraints {
+			if !c.Hard() {
+				soft += c.Weight() * viol[k]
+			}
+		}
+		return h.Alpha*probCost() + soft
 	}
 	return cur
 }
 
-func softOnlyCost(constraints []Constraint, src *Source, m Assignment) float64 {
-	total := 0.0
-	for _, c := range constraints {
-		if c.Hard() {
+// constraintIndex locates constraints by the labels they react to:
+// byLabel maps a label to the positions in Handler.Constraints of the
+// constraints whose Labels() name it, and global holds the positions
+// of the nil-Labels constraints, which any assignment can affect. A*
+// and repair re-check only the constraints indexed under the labels a
+// step touches, plus the global ones.
+type constraintIndex struct {
+	byLabel map[string][]int
+	global  []int
+}
+
+func (h *Handler) index() *constraintIndex {
+	ix := &constraintIndex{byLabel: make(map[string][]int)}
+	for k, c := range h.Constraints {
+		ls := c.Labels()
+		if ls == nil {
+			ix.global = append(ix.global, k)
 			continue
 		}
-		total += c.Weight() * c.Violations(src, m, true)
+		for _, l := range ls {
+			ix.byLabel[l] = append(ix.byLabel[l], k)
+		}
 	}
-	return total
+	return ix
 }
 
 // GreedyRun assigns every tag its highest-scoring label with no search;

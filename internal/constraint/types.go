@@ -296,7 +296,10 @@ type binarySoft struct {
 // BinarySoft returns a soft constraint with cost-of-violation 1 scaled
 // by weight; violated reports whether m violates it.
 // labels lists the mediated labels the predicate depends on; nil means
-// it must be re-checked after every assignment.
+// it must be re-checked after every assignment. The list is its
+// Labels(): A* and repair skip the predicate on steps that touch none
+// of these labels, so a predicate that reads an unlisted label gets
+// wrong costs.
 func BinarySoft(name string, weight float64, labels []string, violated func(src *Source, m Assignment, complete bool) bool) Constraint {
 	return &binarySoft{name, weight, labels, violated}
 }

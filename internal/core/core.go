@@ -166,10 +166,12 @@ type System struct {
 	// combined memoizes post-stacker predictions by instance key, so a
 	// leaf value the system has scored before — in an earlier request,
 	// another listing, or another tag — skips every learner and the
-	// stacker entirely. A pointer, so WithWorkers/WithBatchPredict views
-	// share it with the system they view. The reference (per-instance)
-	// path never consults it.
-	combined *memo[learn.Prediction]
+	// stacker entirely. Values are dense: the stacker's scores in
+	// stacker.Labels() order, a fraction of a map's footprint; a hit
+	// rebuilds the map with exactly those keys and bits. A pointer, so
+	// WithWorkers/WithBatchPredict views share it with the system they
+	// view. The reference (per-instance) path never consults it.
+	combined *memo[[]float64]
 }
 
 // Train runs the training phase of §3.1 on the given training sources
@@ -199,7 +201,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	// learners share the instance set; each extracts its own features.
 	examples := ExtractExamples(med, sources, cfg.MaxListings)
 
-	sys := &System{cfg: cfg, mediated: med, labels: labels, combined: new(memo[learn.Prediction])}
+	sys := &System{cfg: cfg, mediated: med, labels: labels, combined: new(memo[[]float64])}
 	factories := make([]learn.Factory, 0, len(cfg.BaseLearners))
 	for _, spec := range cfg.BaseLearners {
 		sys.names = append(sys.names, spec.Name)
@@ -570,8 +572,13 @@ func (s *System) combineBatch(batch []learn.Instance) []learn.Prediction {
 	// misses are scored below.
 	missIns := uniq[:0:0]
 	var missSlots []int
+	labels := s.stacker.Labels()
 	for u, in := range uniq {
-		if p, ok := s.combined.get(keys[u]); ok {
+		if vals, ok := s.combined.get(keys[u]); ok {
+			p := make(learn.Prediction, len(labels))
+			for i, l := range labels {
+				p[l] = vals[i]
+			}
 			combined[u] = p
 			continue
 		}
@@ -588,8 +595,13 @@ func (s *System) combineBatch(batch []learn.Instance) []learn.Prediction {
 			for j := range perLearner {
 				base[j] = perLearner[j][mi]
 			}
-			combined[u] = s.stacker.Combine(base)
-			s.combined.put(keys[u], combined[u])
+			p := s.stacker.Combine(base)
+			vals := make([]float64, len(labels))
+			for i, l := range labels {
+				vals[i] = p[l]
+			}
+			combined[u] = p
+			s.combined.put(keys[u], vals)
 		}
 		predScratch.Put(base)
 	}

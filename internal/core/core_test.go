@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/constraint"
@@ -290,4 +291,48 @@ func TestMatchEmptyColumns(t *testing.T) {
 	if res.Mapping["location"] == "" {
 		t.Error("dataless tag mapped to empty label")
 	}
+}
+
+// TestCombinedMemoHitBitEqual: a combined-memo hit rebuilds the very
+// prediction the miss stored — same keys, same bits — as a fresh map,
+// so a caller mutating what it was handed cannot change later hits.
+func TestCombinedMemoHitBitEqual(t *testing.T) {
+	sys := trainTiny(t, DefaultConfig())
+	sys.combined = new(memo[[]float64])
+	cols, err := CollectColumns(context.Background(), sys.mediated, greatHomes(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []learn.Instance
+	for _, tag := range []string{"gh-item", "area", "extra-info", "work-phone"} {
+		batch = append(batch, cols[tag]...)
+	}
+	miss := sys.combineBatch(batch)
+	want := make([]learn.Prediction, len(miss))
+	for i, p := range miss {
+		want[i] = p.Clone()
+	}
+	equal := func(what string, got []learn.Prediction) {
+		t.Helper()
+		for i := range want {
+			if len(got[i]) != len(want[i]) {
+				t.Fatalf("%s %d: %d labels, want %d", what, i, len(got[i]), len(want[i]))
+			}
+			for l, v := range want[i] {
+				g, ok := got[i][l]
+				if !ok || math.Float64bits(g) != math.Float64bits(v) {
+					t.Fatalf("%s %d: %s = %v (present %v), want %v", what, i, l, g, ok, v)
+				}
+			}
+		}
+	}
+	hit := sys.combineBatch(batch)
+	equal("hit", hit)
+	for _, p := range append(hit, miss...) {
+		for l := range p {
+			p[l] = -1
+		}
+		p["NOT-A-LABEL"] = 2
+	}
+	equal("hit after mutation", sys.combineBatch(batch))
 }

@@ -129,7 +129,7 @@ func FromState(st *SystemState, workers int) (*System, error) {
 		names:    append([]string(nil), st.Names...),
 		learners: append([]learn.Learner(nil), st.Learners...),
 		stacker:  st.Stacker,
-		combined: new(memo[learn.Prediction]),
+		combined: new(memo[[]float64]),
 	}
 	if st.InterimStacker != nil {
 		sys.interimStacker = st.InterimStacker

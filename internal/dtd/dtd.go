@@ -154,6 +154,47 @@ type Schema struct {
 	// Declare after that point does not re-elect it.
 	rootOnce sync.Once
 	root     string
+	// childOnce guards the lazily built child index: each declared
+	// element's childOrder, built once rather than on every sibling or
+	// leaf query. Like the root, it is fixed on first use.
+	childOnce sync.Once
+	children  childIndex
+}
+
+// childIndex answers SiblingsBetween and IsLeaf without re-walking
+// content models.
+type childIndex struct {
+	// orders holds childOrder of each declared element, in declaration
+	// order.
+	orders [][]string
+	// at maps a declared element's name to its position in orders.
+	at map[string]int
+	// parents maps a tag to its positions in orders, in declaration
+	// order and, within an element, in child order (childOrder can list
+	// a tag twice, as a child and as an attribute), so an element's
+	// first entry is the tag's first position in it.
+	parents map[string][]childPos
+}
+
+type childPos struct{ parent, pos int }
+
+// index returns the child index, building it on first use.
+func (s *Schema) index() *childIndex {
+	s.childOnce.Do(func() {
+		ix := &s.children
+		ix.orders = make([][]string, len(s.order))
+		ix.at = make(map[string]int, len(s.order))
+		ix.parents = make(map[string][]childPos)
+		for i, name := range s.order {
+			order := childOrder(s.elements[name])
+			ix.orders[i] = order
+			ix.at[name] = i
+			for pos, t := range order {
+				ix.parents[t] = append(ix.parents[t], childPos{i, pos})
+			}
+		}
+	})
+	return &s.children
 }
 
 // NewSchema returns an empty schema; elements are added with Declare.
@@ -262,7 +303,11 @@ func (s *Schema) NonLeafTags() []string {
 
 // IsLeaf reports whether tag cannot contain child elements. Attribute
 // pseudo-tags are always leaves.
-func (s *Schema) IsLeaf(tag string) bool { return len(s.ChildTags(tag)) == 0 }
+func (s *Schema) IsLeaf(tag string) bool {
+	ix := s.index()
+	i, ok := ix.at[tag]
+	return !ok || len(ix.orders[i]) == 0
+}
 
 // Root returns the root element: the first declared element that is
 // not referenced in any other element's content model. If every
@@ -395,18 +440,23 @@ func (s *Schema) Siblings(a, b string) bool {
 // their common parent's content-model order, or nil (and false) if a
 // and b are not ordered siblings.
 func (s *Schema) SiblingsBetween(a, b string) ([]string, bool) {
-	for _, name := range s.order {
-		seq := s.ChildTags(name) // sorted; need declaration order instead
-		_ = seq
-		order := childOrder(s.elements[name])
-		ia, ib := indexOf(order, a), indexOf(order, b)
-		if ia < 0 || ib < 0 {
-			continue
+	// The first declared element listing both is their common parent:
+	// merge the two parent lists, both in declaration order.
+	ix := s.index()
+	pa, pb := ix.parents[a], ix.parents[b]
+	for len(pa) > 0 && len(pb) > 0 {
+		switch {
+		case pa[0].parent < pb[0].parent:
+			pa = pa[1:]
+		case pa[0].parent > pb[0].parent:
+			pb = pb[1:]
+		default:
+			ia, ib := pa[0].pos, pb[0].pos
+			if ia > ib {
+				ia, ib = ib, ia
+			}
+			return append([]string{}, ix.orders[pa[0].parent][ia+1:ib]...), true
 		}
-		if ia > ib {
-			ia, ib = ib, ia
-		}
-		return append([]string{}, order[ia+1:ib]...), true
 	}
 	return nil, false
 }
@@ -450,15 +500,6 @@ func childOrder(e *Element) []string {
 	}
 	out = append(out, e.Attributes...)
 	return out
-}
-
-func indexOf(xs []string, x string) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }
 
 // String renders the schema back as DTD text.

@@ -240,13 +240,23 @@ func FormatResults(rs []QueryResult, attrs []string) string {
 	return integrate.FormatResults(rs, attrs)
 }
 
-// Describe renders a match result as a human-readable report.
+// Describe renders a match result as a human-readable report. When
+// the constraint handler ran, a last line says whether its A* search
+// completed or fell back to greedy completion (which may ignore hard
+// constraints), and after how many expansions.
 func Describe(src *Source, res *MatchResult) string {
 	out := fmt.Sprintf("mappings for %s:\n", src.Name)
 	for _, tag := range src.Schema.Tags() {
 		label := res.Mapping[tag]
 		best, score := res.TagPredictions[tag].Best()
 		out += fmt.Sprintf("  %-24s => %-24s (converter: %s %.2f)\n", tag, label, best, score)
+	}
+	if h := res.Handler; h != nil {
+		search := "complete"
+		if !h.Complete {
+			search = "greedy fallback"
+		}
+		out += fmt.Sprintf("constraint search: %s, %d expansions\n", search, h.Expansions)
 	}
 	return out
 }

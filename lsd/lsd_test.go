@@ -2,9 +2,11 @@ package lsd_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/constraint"
 	"repro/internal/datagen"
 	"repro/lsd"
 )
@@ -78,10 +80,30 @@ func TestPublicAPITrainMatch(t *testing.T) {
 		t.Errorf("Accuracy = %g, want >= 2/3", acc)
 	}
 	report := lsd.Describe(target, res)
-	for _, want := range []string{"area", "ADDRESS", "target"} {
+	search := fmt.Sprintf("constraint search: complete, %d expansions", res.Handler.Expansions)
+	for _, want := range []string{"area", "ADDRESS", "target", search} {
 		if !strings.Contains(report, want) {
 			t.Errorf("Describe missing %q:\n%s", want, report)
 		}
+	}
+}
+
+// TestDescribeReportsSearchFallback: Describe says when A* ran out of
+// budget and completed greedily, and says nothing about the search
+// when the handler did not run.
+func TestDescribeReportsSearchFallback(t *testing.T) {
+	src := &lsd.Source{Name: "s", Schema: lsd.MustParseDTD(`<!ELEMENT a (#PCDATA)>`)}
+	res := &lsd.MatchResult{
+		Mapping:        lsd.Assignment{"a": lsd.Other},
+		TagPredictions: map[string]lsd.Prediction{"a": {lsd.Other: 1}},
+		Handler:        &constraint.Result{Expansions: 1},
+	}
+	if got, want := lsd.Describe(src, res), "constraint search: greedy fallback, 1 expansions\n"; !strings.HasSuffix(got, want) {
+		t.Errorf("Describe = %q, want suffix %q", got, want)
+	}
+	res.Handler = nil
+	if got := lsd.Describe(src, res); strings.Contains(got, "constraint search") {
+		t.Errorf("Describe without a handler run = %q", got)
 	}
 }
 
